@@ -1,12 +1,9 @@
-//! Environment-knob hardening: malformed `THERMAL_THREADS` and
-//! `THERMAL_BENCH_SAMPLES` values must degrade to documented
-//! fallbacks with typed reasons — never abort a run, never be
-//! silently trusted. (The criterion shim lives outside the workspace,
-//! so its resolver is tested here via the bench crate's dev-dep.)
+//! Environment-knob hardening: malformed `THERMAL_THREADS` values
+//! must degrade to documented fallbacks with typed reasons — never
+//! abort a run, never be silently trusted.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use criterion::{resolve_samples, SamplesParseError, MAX_SAMPLES};
 use thermal_par::{resolve_thread_count, ThreadsParseError, MAX_THREADS};
 
 #[test]
@@ -25,48 +22,4 @@ fn thread_count_resolver_documented_fallbacks() {
             Some(ThreadsParseError::TooLarge { parsed: 99_999_999 })
         )
     );
-}
-
-#[test]
-fn samples_resolver_documented_fallbacks() {
-    // Unset: the configured count stands, silently.
-    assert_eq!(resolve_samples(None, 10), (10, None));
-    // A well-formed override wins over the configured count.
-    assert_eq!(resolve_samples(Some("3"), 10), (3, None));
-    assert_eq!(resolve_samples(Some(" 25\n"), 10), (25, None));
-    // Zero would time nothing: fall back, say why.
-    assert_eq!(
-        resolve_samples(Some("0"), 10),
-        (10, Some(SamplesParseError::Zero))
-    );
-    // Garbage: fall back, preserve the offending value.
-    assert_eq!(
-        resolve_samples(Some("ten"), 10),
-        (
-            10,
-            Some(SamplesParseError::NotANumber {
-                raw: "ten".to_owned()
-            })
-        )
-    );
-    assert!(matches!(
-        resolve_samples(Some("-3"), 10).1,
-        Some(SamplesParseError::NotANumber { .. })
-    ));
-    // Absurd values clamp to the cap instead of hanging CI for hours.
-    assert_eq!(
-        resolve_samples(Some("5000000"), 10),
-        (
-            MAX_SAMPLES,
-            Some(SamplesParseError::TooLarge { parsed: 5_000_000 })
-        )
-    );
-    // Every rejection renders a human-readable reason.
-    for e in [
-        SamplesParseError::Zero,
-        SamplesParseError::TooLarge { parsed: 5_000_000 },
-        SamplesParseError::NotANumber { raw: "x".into() },
-    ] {
-        assert!(!e.to_string().is_empty());
-    }
 }

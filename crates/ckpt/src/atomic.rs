@@ -45,11 +45,13 @@ impl Default for Fnv64 {
 
 impl Fnv64 {
     /// A fresh hasher at the FNV offset basis.
+    #[inline]
     pub fn new() -> Self {
         Self { state: FNV_OFFSET }
     }
 
     /// Absorbs `bytes` into the running hash.
+    #[inline]
     pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
@@ -58,6 +60,7 @@ impl Fnv64 {
     }
 
     /// The current hash value.
+    #[inline]
     pub fn finish(&self) -> u64 {
         self.state
     }

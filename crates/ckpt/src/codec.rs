@@ -1,7 +1,7 @@
 //! Hand-rolled text codec for checkpoint payloads.
 //!
-//! The vendored serde shim has no serializer, so every checkpoint is
-//! encoded as a small line-oriented [`Record`]: a tag line followed
+//! The workspace has no serialisation dependency, so every checkpoint
+//! is encoded as a small line-oriented [`Record`]: a tag line followed
 //! by `key value` lines. The format is designed for *bit-exact*
 //! round-trips and stable bytes:
 //!

@@ -7,15 +7,13 @@
 //! shows the two lead to different — and differently useful —
 //! clusterings (Figs. 6–8).
 
-use serde::{Deserialize, Serialize};
-
 use thermal_linalg::{stats, Matrix};
 use thermal_timeseries::{Dataset, Mask};
 
 use crate::{ClusterError, Result};
 
 /// How to measure similarity between two sensors' trajectories.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Similarity {
     /// Gaussian kernel of the Euclidean distance between
     /// trajectories: `w = exp(−d² / (2σ²))`. `scale = None` picks σ

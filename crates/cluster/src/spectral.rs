@@ -3,8 +3,6 @@
 //! first-`k` eigenvectors → k-means on the spectral embedding, with
 //! the number of clusters chosen by the largest log-eigengap.
 
-use serde::{Deserialize, Serialize};
-
 use thermal_linalg::{Matrix, SymmetricEigen};
 use thermal_timeseries::{Dataset, Mask};
 
@@ -14,7 +12,7 @@ use crate::similarity::{trajectory_matrix, weight_matrix, Similarity};
 use crate::{ClusterError, Result};
 
 /// How many clusters to form.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ClusterCount {
     /// Exactly this many clusters.
     Fixed(usize),
@@ -26,7 +24,7 @@ pub enum ClusterCount {
 }
 
 /// Spectral-clustering configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpectralConfig {
     /// Similarity measure for the graph weights.
     pub similarity: Similarity,
@@ -50,7 +48,7 @@ impl Default for SpectralConfig {
 }
 
 /// The result of clustering a sensor set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Clustering {
     assignments: Vec<usize>,
     k: usize,

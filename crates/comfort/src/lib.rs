@@ -28,8 +28,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Errors produced by the comfort model.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -68,7 +66,7 @@ impl fmt::Display for ComfortError {
 impl std::error::Error for ComfortError {}
 
 /// Thermal environment and personal factors for a PMV evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Environment {
     /// Air temperature, °C.
     pub air_temp: f64,
@@ -218,7 +216,7 @@ pub fn ppd(pmv_value: f64) -> f64 {
 }
 
 /// Seven-point ASHRAE thermal-sensation scale bucket for a PMV value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sensation {
     /// PMV ≤ −2.5.
     Cold,

@@ -11,15 +11,13 @@
 //! minimising flow subject to comfort is the standard economic
 //! objective.
 
-use serde::{Deserialize, Serialize};
-
 use thermal_linalg::Matrix;
 use thermal_sysid::{ModelOrder, ThermalModel};
 
 use crate::{CoreError, Result};
 
 /// The comfort band predicted temperatures must stay inside.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComfortBand {
     /// Lower bound, °C.
     pub min: f64,
@@ -70,7 +68,7 @@ impl ComfortBand {
 }
 
 /// Configuration of the receding-horizon planner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlConfig {
     /// Comfort band to enforce.
     pub band: ComfortBand,
@@ -120,7 +118,7 @@ impl ControlConfig {
 
 /// The planner's product: per-step flow scalings and the trajectory
 /// they are predicted to produce.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowPlan {
     /// Chosen flow scaling per step.
     pub scale: Vec<f64>,

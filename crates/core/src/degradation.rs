@@ -11,14 +11,12 @@
 //! mean of whatever cluster members are still reporting, and records
 //! every substitution in a [`DegradationReport`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::reduced::ClusterMeanModelReport;
 use crate::{CoreError, Result};
 
 /// When a representative counts as dark, and how eagerly to fall
 /// back.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationPolicy {
     /// Minimum fraction of evaluation-mask slots a representative (or
     /// a backup standing in for it) must have present to count as
@@ -66,7 +64,7 @@ impl DegradationPolicy {
 /// and `Refitting` flag served outputs as degraded and widen the
 /// published uncertainty band; `Recovered` is the hysteresis hold
 /// after a refit lands, before the detector is trusted again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelHealth {
     /// Residuals look like the identification regime; serve normally.
     Stable,
@@ -120,7 +118,7 @@ impl ModelHealth {
 }
 
 /// How one representative's channel was handled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FallbackAction {
     /// The representative reported normally; nothing substituted.
@@ -144,7 +142,7 @@ pub enum FallbackAction {
 }
 
 /// One representative's degradation record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradationEvent {
     /// Cluster the representative serves.
     pub cluster: usize,
@@ -160,7 +158,7 @@ pub struct DegradationEvent {
 /// Structured account of every fallback taken during a degraded
 /// evaluation — the pipeline's answer instead of an error when
 /// sensors die.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradationReport {
     events: Vec<DegradationEvent>,
 }
@@ -220,7 +218,7 @@ impl DegradationReport {
 /// evaluable. `report` is `None` only under total blackout (no
 /// usable prediction segment, or no ground truth anywhere) — the
 /// pipeline still completes and says *why* through `degradation`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DegradedEvaluation {
     /// Every fallback taken (one event per representative).
     pub degradation: DegradationReport,

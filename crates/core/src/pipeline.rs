@@ -2,8 +2,6 @@
 //! cluster the dense deployment, select representative sensors, and
 //! identify a simplified thermal model on them.
 
-use serde::{Deserialize, Serialize};
-
 use thermal_ckpt::CheckpointStore;
 use thermal_cluster::{
     cluster_trajectories, trajectory_matrix, ClusterCount, Clustering, Similarity, SpectralConfig,
@@ -23,7 +21,7 @@ use crate::reduced::ReducedModel;
 use crate::{CoreError, Result};
 
 /// Which selection strategy the pipeline uses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SelectorKind {
     /// Stratified near-mean selection (the paper's SMS — its best).
     NearMean,
@@ -63,7 +61,7 @@ impl SelectorKind {
 
 /// Complete pipeline configuration. Construct with
 /// [`ThermalPipeline::builder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalPipeline {
     similarity: Similarity,
     count: ClusterCount,
@@ -162,9 +160,15 @@ impl ThermalPipeline {
     /// fleet) must set a distinct [`GramCache::set_namespace`] per
     /// tenant before each fit; the namespace partitions keys
     /// structurally so tenants can never observe each other's blocks.
-    /// Results are bit-identical to [`ThermalPipeline::fit`] whenever
-    /// `fit.ridge > 0` holds — with `ridge == 0` the cache is
-    /// bypassed for the QR path (see `thermal_sysid::cache`).
+    ///
+    /// With `fit.ridge > 0` the clusters and representatives equal
+    /// those of [`ThermalPipeline::fit`], but the coefficients may
+    /// differ in the last bits: this path sums the normal equations
+    /// segment by segment, `fit` over all rows at once. The relative
+    /// difference measured on the 98-day paper campaign is up to
+    /// 3.6e-8. Whatever the cache holds, the result is the same
+    /// bits as with a cold or disabled cache. With `ridge == 0` the
+    /// cache is bypassed for the QR path (see `thermal_sysid::cache`).
     ///
     /// # Errors
     ///

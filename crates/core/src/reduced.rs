@@ -2,8 +2,6 @@
 //! representative sensors, evaluated against the cluster thermal
 //! means it is meant to track (Fig. 11's metric).
 
-use serde::{Deserialize, Serialize};
-
 use thermal_cluster::Clustering;
 use thermal_linalg::stats::{self, EmpiricalCdf};
 use thermal_select::Selection;
@@ -18,7 +16,7 @@ use crate::{CoreError, Result};
 /// A simplified thermal model built on selected sensors, with the
 /// clustering context needed to interpret its predictions as cluster
 /// thermal means.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReducedModel {
     /// All modelled sensor channels (the dense deployment).
     all_channels: Vec<String>,
@@ -427,7 +425,7 @@ impl ReducedModel {
 }
 
 /// Pooled cluster-mean prediction errors of a reduced model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterMeanModelReport {
     errors: Vec<f64>,
     segments_used: usize,

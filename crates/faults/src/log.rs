@@ -6,12 +6,10 @@
 //! validation layer caught (or healed) precisely the corrupted
 //! samples and nothing else.
 
-use serde::{Deserialize, Serialize};
-
 use thermal_timeseries::Mask;
 
 /// One injected fault, as ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FaultEvent {
     /// A channel's reading froze at `held` over `start..end`.
@@ -121,7 +119,7 @@ impl FaultEvent {
 }
 
 /// Ground truth of one [`crate::FaultPlan::apply`] run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultLog {
     events: Vec<FaultEvent>,
 }

@@ -31,7 +31,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use thermal_linalg::cast;
 use thermal_timeseries::{Channel, Dataset};
@@ -50,7 +49,7 @@ const MAX_STUCK_LEN: usize = 2000;
 ///
 /// Each variant documents how the directive's `intensity` in `[0, 1]`
 /// scales it; at `0.0` every variant injects nothing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FaultKind {
     /// The reading freezes at its current value for a burst
@@ -247,7 +246,7 @@ impl FaultKind {
 }
 
 /// Which channels a directive targets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultTargets {
     /// Every channel in the dataset.
     All,
@@ -257,7 +256,7 @@ pub enum FaultTargets {
 
 /// One injection directive: a fault class, its targets and an
 /// intensity knob.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultDirective {
     /// The fault class and its parameters.
     pub kind: FaultKind,
@@ -314,7 +313,7 @@ impl FaultDirective {
 /// A seed-deterministic list of fault directives.
 ///
 /// See the [module docs](self) for the determinism contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     directives: Vec<FaultDirective>,

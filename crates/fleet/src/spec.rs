@@ -19,32 +19,11 @@
 //! day) so `spec.scenario(days)` can only fail on a bug, not on an
 //! unlucky seed.
 
+use thermal_ckpt::Fnv64;
+use thermal_par::splitmix64;
 use thermal_sim::{HvacConfig, Layout, OccupancyConfig, Scenario, SensorConfig, VAV_COUNT};
 
 use crate::error::{FleetError, Result};
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into an FNV-1a running hash.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// splitmix64: the generator's only source of randomness.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Uniform draw in `[0, 1)` from the generator stream.
 fn next_unit(state: &mut u64) -> f64 {
@@ -148,24 +127,23 @@ impl BuildingSpec {
     /// runs, so it doubles as the building's sysid-cache namespace.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv1a(h, &self.id.to_le_bytes());
-        h = fnv1a(h, &self.seed.to_le_bytes());
-        h = fnv1a(h, &(self.rows as u64).to_le_bytes());
-        h = fnv1a(h, &(self.cols as u64).to_le_bytes());
-        h = fnv1a(h, &self.width.to_bits().to_le_bytes());
-        h = fnv1a(h, &self.depth.to_bits().to_le_bytes());
-        h = fnv1a(h, &self.height.to_bits().to_le_bytes());
-        h = fnv1a(h, &self.capacity.to_le_bytes());
+        let mut h = Fnv64::new();
+        h.update(&self.id.to_le_bytes());
+        h.update(&self.seed.to_le_bytes());
+        h.update(&(self.rows as u64).to_le_bytes());
+        h.update(&(self.cols as u64).to_le_bytes());
+        h.update(&self.width.to_bits().to_le_bytes());
+        h.update(&self.depth.to_bits().to_le_bytes());
+        h.update(&self.height.to_bits().to_le_bytes());
+        h.update(&self.capacity.to_le_bytes());
         for w in &self.box_weights {
-            h = fnv1a(h, &w.to_bits().to_le_bytes());
+            h.update(&w.to_bits().to_le_bytes());
         }
-        h = fnv1a(h, &self.on_minute.to_le_bytes());
-        h = fnv1a(h, &self.off_minute.to_le_bytes());
-        h = fnv1a(h, &self.setpoint.to_bits().to_le_bytes());
-        h = fnv1a(h, &(self.cluster_count as u64).to_le_bytes());
-        let mut state = h;
-        splitmix64(&mut state)
+        h.update(&self.on_minute.to_le_bytes());
+        h.update(&self.off_minute.to_le_bytes());
+        h.update(&self.setpoint.to_bits().to_le_bytes());
+        h.update(&(self.cluster_count as u64).to_le_bytes());
+        splitmix64(&mut h.finish())
     }
 
     /// Instantiates the spec as a runnable `days`-long campaign.
@@ -242,6 +220,25 @@ mod tests {
         let b = BuildingSpec::generate(7, 1);
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.seed, b.seed);
+    }
+
+    /// The fingerprint folds every drawn field and namespaces the
+    /// building's sysid cache, so its values are pinned.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let prints: Vec<u64> = [(7, 0), (7, 1), (99, 15), (u64::MAX, u32::MAX)]
+            .iter()
+            .map(|&(fleet, id)| BuildingSpec::generate(fleet, id).fingerprint())
+            .collect();
+        assert_eq!(
+            prints,
+            [
+                0x25b0_78db_90e9_a3cb,
+                0x423c_fe6f_ed95_9e3b,
+                0x0f49_dc24_99d7_4dd1,
+                0x4d96_6d3b_75f3_3dee,
+            ]
+        );
     }
 
     #[test]

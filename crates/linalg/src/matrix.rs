@@ -5,8 +5,6 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{LinalgError, Result, Vector};
 
 /// A dense, row-major matrix of `f64` values.
@@ -31,7 +29,7 @@ use crate::{LinalgError, Result, Vector};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{LinalgError, Result};
 
 /// A dense column vector of `f64` values.
@@ -24,7 +22,7 @@ use crate::{LinalgError, Result};
 /// let b = &a + &Vector::from_slice(&[1.0, -4.0]);
 /// assert_eq!(b.as_slice(), &[4.0, 0.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Vector {
     data: Vec<f64>,
 }

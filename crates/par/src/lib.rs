@@ -153,9 +153,23 @@ pub fn thread_count() -> usize {
 /// `(s, i)` and is pinned by tests — changing it invalidates every
 /// seeded golden output downstream.
 pub fn derive_seed(seed: u64, index: u64) -> u64 {
-    // splitmix64: advance the state by (index + 1) golden-gamma steps,
-    // then apply the output mix.
-    let mut z = seed.wrapping_add((index.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    // Start `index` golden-gamma steps in; the draw takes one more.
+    let mut state = seed.wrapping_add(index.wrapping_mul(SPLITMIX_GAMMA));
+    splitmix64(&mut state)
+}
+
+/// The splitmix64 state increment (the 64-bit golden ratio).
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One splitmix64 draw: advances `state` by the golden gamma and
+/// returns the output mix of the new state.
+///
+/// Besides seeding ([`derive_seed`]), it serves as a cheap stream
+/// generator and as a finaliser that spreads a weak hash's bits.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(SPLITMIX_GAMMA);
+    let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -3,8 +3,6 @@
 //! of Table II and Figures 9–10 (99th percentile of the absolute
 //! prediction error).
 
-use serde::{Deserialize, Serialize};
-
 use thermal_cluster::Clustering;
 use thermal_linalg::stats::{self, EmpiricalCdf};
 use thermal_linalg::Matrix;
@@ -13,7 +11,7 @@ use crate::selection::Selection;
 use crate::{Result, SelectError};
 
 /// Pooled absolute errors of cluster-mean prediction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterMeanReport {
     errors: Vec<f64>,
     per_cluster_mean_abs: Vec<f64>,

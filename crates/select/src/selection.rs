@@ -1,8 +1,6 @@
 //! The selection abstraction: inputs, outputs and the [`Selector`]
 //! trait implemented by every strategy.
 
-use serde::{Deserialize, Serialize};
-
 use thermal_cluster::Clustering;
 use thermal_linalg::Matrix;
 
@@ -68,13 +66,12 @@ impl<'a> SelectionInput<'a> {
 /// placement) still *assign* their chosen sensors to clusters so that
 /// cluster-mean prediction can be evaluated uniformly — exactly how
 /// the paper compares them in Table II.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Selection {
     per_cluster: Vec<Vec<usize>>,
     /// Ranked fallback sensors per cluster (best substitute first),
     /// used when a representative goes dark in operation. Empty for
-    /// selections that never ranked backups (older serialised data).
-    #[serde(default)]
+    /// selections that never ranked backups.
     backups: Vec<Vec<usize>>,
 }
 

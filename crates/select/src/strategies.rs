@@ -257,7 +257,7 @@ fn conditional_variance(
 
 /// Ranks every cluster's non-selected members as fallback sensors for
 /// its representatives, best substitute first (closest in RMS to the
-/// cluster-mean trajectory — the same criterion [`NearMeanSelector`]
+/// cluster-mean trajectory — the same measure [`NearMeanSelector`]
 /// uses to pick representatives in the first place).
 ///
 /// Works for any strategy's output: cluster-blind selections simply

@@ -10,12 +10,10 @@
 //! {3,6,7,8,13,14,17,23,28,33,38}; back group the rest; thermostats 40
 //! and 41 on the front side walls).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a temperature sensing point, matching the numbering
 /// of the paper's floor plan (1–39 wireless sensors, 40–41 HVAC
 /// thermostats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SensorId(pub u8);
 
 impl SensorId {
@@ -37,7 +35,7 @@ impl std::fmt::Display for SensorId {
 }
 
 /// A sensing point: identifier plus floor-plan position.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorSite {
     /// Paper identifier.
     pub id: SensorId,
@@ -55,7 +53,7 @@ impl SensorSite {
 }
 
 /// The room envelope and instrumentation layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layout {
     /// Room width along the front wall, metres.
     pub width: f64,

@@ -10,15 +10,13 @@
 //! per-box minimum and maximum (cooling: warmer room → more cold
 //! air). When off, boxes idle at a low ventilation trickle.
 
-use serde::{Deserialize, Serialize};
-
 use thermal_timeseries::Timestamp;
 
 /// Number of VAV boxes in the auditorium.
 pub const VAV_COUNT: usize = 4;
 
 /// Static configuration of the HVAC plant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HvacConfig {
     /// Minute-of-day the system enters on mode (paper: 06:00).
     pub on_minute: i64,
@@ -91,7 +89,7 @@ impl Default for HvacConfig {
 
 /// Which outlet line a VAV box feeds: boxes 0–1 feed the front line,
 /// boxes 2–3 the mid line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outlet {
     /// The diffuser line closest to the podium.
     Front,
@@ -120,7 +118,7 @@ pub fn outlet_of(vav: usize) -> Outlet {
 /// assert!(hvac.is_on(Timestamp::from_day_minute(0, 12 * 60)));
 /// assert!(!hvac.is_on(Timestamp::from_day_minute(0, 23 * 60)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hvac {
     config: HvacConfig,
 }

@@ -9,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use thermal_timeseries::Timestamp;
 
@@ -17,7 +16,7 @@ use thermal_timeseries::Timestamp;
 const OCCUPANCY_STREAM_SALT: u64 = 0x4f43_4355_5041_4e43; // "OCCUPANC"
 
 /// One scheduled gathering.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Day index the event occurs on.
     pub day: i64,
@@ -42,7 +41,7 @@ impl Event {
 }
 
 /// Configuration of the schedule generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OccupancyConfig {
     /// Room capacity (the paper's auditorium holds ~90).
     pub capacity: u32,
@@ -99,7 +98,7 @@ impl Default for OccupancyConfig {
 /// let midnight = sched.count_at(Timestamp::from_day_minute(3, 0));
 /// assert_eq!(midnight, 0, "nobody at midnight");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OccupancySchedule {
     config: OccupancyConfig,
     events: Vec<Event>,

@@ -1,8 +1,6 @@
 //! Campaign configuration: everything needed to reproduce a
 //! multi-week instrumented run of the auditorium.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::Layout;
 use crate::hvac::HvacConfig;
 use crate::occupancy::OccupancyConfig;
@@ -25,7 +23,7 @@ use crate::SimError;
 /// let scenario = Scenario::quick().with_seed(7).with_days(10);
 /// assert_eq!(scenario.days, 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Number of simulated calendar days.
     pub days: usize,

@@ -34,13 +34,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Salt for the sensor-noise RNG stream.
 const SENSOR_STREAM_SALT: u64 = 0x5345_4e53_4f52_5f5f; // "SENSOR__"
 
 /// Configuration of the measurement layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorConfig {
     /// Gaussian measurement noise, °C (1σ).
     pub noise_sigma: f64,

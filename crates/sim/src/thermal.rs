@@ -15,8 +15,6 @@
 //! (the supervisory dynamics are far slower than the 60 s step used by
 //! the runner).
 
-use serde::{Deserialize, Serialize};
-
 use thermal_linalg::Matrix;
 
 use crate::geometry::Layout;
@@ -26,7 +24,7 @@ use crate::hvac::{outlet_of, Outlet, VAV_COUNT};
 pub const OUTLET_COUNT: usize = 2;
 
 /// Physical parameters of the zone network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalParams {
     /// Heat capacity of one zone (air + furniture share), J/K.
     pub zone_capacity: f64,

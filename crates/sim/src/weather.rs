@@ -8,12 +8,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use thermal_timeseries::{Timestamp, MINUTES_PER_DAY, MINUTES_PER_HOUR};
 
 /// Configuration of the synthetic weather generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeatherConfig {
     /// Seasonal mean on day 0 (°C). St. Louis, end of January.
     pub mean_start: f64,

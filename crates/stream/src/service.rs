@@ -1229,7 +1229,7 @@ mod tests {
 
     #[test]
     fn predictions_always_available_for_any_proper_subset_dead() {
-        // Acceptance criterion: kill every proper subset of sensors;
+        // Acceptance check: kill every proper subset of sensors;
         // predict() must return values for every cluster that retains
         // at least one live member, and never panic or error.
         for dead_mask in 0_u32..15 {

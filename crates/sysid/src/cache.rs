@@ -35,50 +35,29 @@
 //! keep the numerically robust QR full-refit path of
 //! [`crate::identify`].
 
+use thermal_ckpt::Fnv64;
 use thermal_linalg::{CholeskyDecomposition, Matrix};
+use thermal_par::splitmix64;
 use thermal_timeseries::{segments_from_mask, Dataset, Mask};
 
 use crate::regressors::resolve_spec;
 use crate::{FitConfig, ModelSpec, Result, SysidError, ThermalModel};
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into an FNV-1a running hash.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// The splitmix64 finalizer: spreads FNV's weak low bits before the
-/// hash picks a cache slot.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Fingerprint of the model spec: output/input channel names and the
 /// model order (which fixes `warmup` and the regressor width).
 fn fingerprint_spec(spec: &ModelSpec) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv64::new();
     for name in &spec.outputs {
-        h = fnv1a(h, name.as_bytes());
-        h = fnv1a(h, &[0xff]);
+        h.update(name.as_bytes());
+        h.update(&[0xff]);
     }
-    h = fnv1a(h, &[0xfe]);
+    h.update(&[0xfe]);
     for name in &spec.inputs {
-        h = fnv1a(h, name.as_bytes());
-        h = fnv1a(h, &[0xff]);
+        h.update(name.as_bytes());
+        h.update(&[0xff]);
     }
-    h = fnv1a(h, &(spec.order.warmup() as u64).to_le_bytes());
-    splitmix64(h)
+    h.update(&(spec.order.warmup() as u64).to_le_bytes());
+    finalise(&h)
 }
 
 /// Fingerprint of the dataset *as the spec sees it*: the time grid
@@ -86,30 +65,36 @@ fn fingerprint_spec(spec: &ModelSpec) -> u64 {
 /// channel, in spec resolution order.
 fn fingerprint_dataset(dataset: &Dataset, channels: &[usize]) -> u64 {
     let grid = dataset.grid();
-    let mut h = FNV_OFFSET;
-    h = fnv1a(h, &grid.start().as_minutes().to_le_bytes());
-    h = fnv1a(h, &u64::from(grid.step_minutes()).to_le_bytes());
-    h = fnv1a(h, &(grid.len() as u64).to_le_bytes());
+    let mut h = Fnv64::new();
+    h.update(&grid.start().as_minutes().to_le_bytes());
+    h.update(&u64::from(grid.step_minutes()).to_le_bytes());
+    h.update(&(grid.len() as u64).to_le_bytes());
     for &c in channels {
         let Ok(channel) = dataset.channel_at(c) else {
             // Unresolvable index: fold the index itself so the key
             // still differs from a dataset where it resolves.
-            h = fnv1a(h, &(c as u64).to_le_bytes());
+            h.update(&(c as u64).to_le_bytes());
             continue;
         };
-        h = fnv1a(h, channel.name().as_bytes());
-        h = fnv1a(h, &[0xff]);
+        h.update(channel.name().as_bytes());
+        h.update(&[0xff]);
         for v in channel.values() {
             match v {
                 Some(x) => {
-                    h = fnv1a(h, &[1]);
-                    h = fnv1a(h, &x.to_bits().to_le_bytes());
+                    h.update(&[1]);
+                    h.update(&x.to_bits().to_le_bytes());
                 }
-                None => h = fnv1a(h, &[0]),
+                None => h.update(&[0]),
             }
         }
     }
-    splitmix64(h)
+    finalise(&h)
+}
+
+/// The splitmix64 finaliser: spreads FNV's weak low bits before the
+/// hash picks a cache slot.
+fn finalise(h: &Fnv64) -> u64 {
+    splitmix64(&mut h.finish())
 }
 
 /// Cache key of one memoized block: dataset and spec fingerprints
@@ -136,12 +121,17 @@ pub struct BlockKey {
 impl BlockKey {
     /// Slot hash: all fields mixed through splitmix64.
     fn slot_hash(&self) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, &self.namespace.to_le_bytes());
-        h = fnv1a(h, &self.dataset.to_le_bytes());
-        h = fnv1a(h, &self.spec.to_le_bytes());
-        h = fnv1a(h, &self.start.to_le_bytes());
-        h = fnv1a(h, &self.end.to_le_bytes());
-        splitmix64(h)
+        let mut h = Fnv64::new();
+        for field in [
+            self.namespace,
+            self.dataset,
+            self.spec,
+            self.start,
+            self.end,
+        ] {
+            h.update(&field.to_le_bytes());
+        }
+        finalise(&h)
     }
 }
 
@@ -704,6 +694,36 @@ mod tests {
         (0..r)
             .flat_map(|i| c.row(i)[..w].iter().map(|v| v.to_bits()))
             .collect()
+    }
+
+    /// Cache keys are content fingerprints: changing the hash changes
+    /// which blocks a cache holds, so the values are pinned.
+    #[test]
+    fn block_keys_are_pinned() {
+        let full = synth(48);
+        let mut gappy = full.channel("t").unwrap().values().to_vec();
+        gappy[5] = None;
+        let ds = Dataset::new(
+            *full.grid(),
+            vec![
+                Channel::new("t", gappy).unwrap(),
+                full.channel("u").unwrap().clone(),
+            ],
+        )
+        .unwrap();
+        let (outputs, inputs) = resolve_spec(&ds, &spec()).unwrap();
+        // Index 9 resolves to no channel: its fallback branch is pinned too.
+        let channels: Vec<usize> = outputs.into_iter().chain(inputs).chain([9]).collect();
+        let key = BlockKey {
+            namespace: 3,
+            dataset: fingerprint_dataset(&ds, &channels),
+            spec: fingerprint_spec(&spec()),
+            start: 1,
+            end: 40,
+        };
+        assert_eq!(key.spec, 0x4663_0fb3_3d9c_0810);
+        assert_eq!(key.dataset, 0x5b94_7fd5_b8e0_d688);
+        assert_eq!(key.slot_hash(), 0xbb89_0114_3aa3_e2e4);
     }
 
     #[test]

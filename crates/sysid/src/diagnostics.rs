@@ -7,8 +7,6 @@
 //! residuals stay correlated at short lags because the mixing delay is
 //! unmodelled, the second-order model whitens them.
 
-use serde::{Deserialize, Serialize};
-
 use thermal_linalg::Matrix;
 use thermal_timeseries::{Dataset, Mask};
 
@@ -17,7 +15,7 @@ use crate::{Result, SysidError, ThermalModel};
 
 /// One-step-ahead residuals of a model over the usable segments of a
 /// mask, stacked per sensor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResidualReport {
     sensor_names: Vec<String>,
     /// `residuals[s]` holds sensor `s`'s one-step residuals in time

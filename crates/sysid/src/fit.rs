@@ -5,8 +5,6 @@
 //! Householder-QR least-squares solve, optionally ridge-regularised
 //! for the short-training-horizon regimes of the Fig. 5 sweep.
 
-use serde::{Deserialize, Serialize};
-
 use thermal_linalg::lstsq;
 use thermal_timeseries::{Dataset, Mask};
 
@@ -14,7 +12,7 @@ use crate::regressors::{assemble, RegressionData};
 use crate::{ModelSpec, Result, ThermalModel};
 
 /// Fitting configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitConfig {
     /// Tikhonov regularisation weight `λ` on the coefficients. Zero
     /// means plain least squares.

@@ -2,8 +2,6 @@
 //! percentiles and CDFs — the quantities behind Table I and
 //! Figures 3–5 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use thermal_linalg::stats::{self, EmpiricalCdf};
 use thermal_linalg::Matrix;
 use thermal_timeseries::{Dataset, Mask, Segment};
@@ -12,7 +10,7 @@ use crate::regressors::{resolve_spec, usable_segments};
 use crate::{Result, SysidError, ThermalModel};
 
 /// Evaluation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalConfig {
     /// Maximum open-loop prediction length per segment, in samples
     /// (`None` = predict to the end of each segment). The paper's
@@ -116,7 +114,7 @@ pub fn predict_segment(
 }
 
 /// Aggregate evaluation results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvalReport {
     sensor_names: Vec<String>,
     per_sensor_rms: Vec<f64>,

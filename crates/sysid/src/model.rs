@@ -1,8 +1,6 @@
 //! Thermal state-space model container: coefficient blocks, one-
 //! step prediction and multi-step rollout (the paper's Eq. 2 family).
 
-use serde::{Deserialize, Serialize};
-
 use thermal_linalg::{Matrix, Vector};
 
 use crate::{Result, SysidError};
@@ -13,7 +11,7 @@ use crate::{Result, SysidError};
 /// air mixes instantaneously, against a second-order model (Eq. 2)
 /// that adds the temperature *increment* `ΔT(k) = T(k) − T(k−1)` to
 /// the state and thereby captures the mixing delay of the plumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelOrder {
     /// `T(k+1) = A·T(k) + B·u(k)`.
     First,
@@ -53,7 +51,7 @@ impl std::fmt::Display for ModelOrder {
 
 /// What to identify: which channels are the modelled temperatures,
 /// which are exogenous inputs, and the dynamic order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Names of the temperature channels the model predicts.
     pub outputs: Vec<String>,
@@ -116,7 +114,7 @@ impl ModelSpec {
 /// form this is the top block row of the paper's `[A' B']`; the bottom
 /// block row (`ΔT(k+1)`) is implied (`ΔT(k+1) = T(k+1) − T(k)`) and
 /// carries no extra information.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalModel {
     spec: ModelSpec,
     /// `p × (state_blocks·p + m)` coefficient matrix.

@@ -11,8 +11,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use thermal_timeseries::{Dataset, Mask};
 
 use crate::cache::{identify_with_cache, GramCache, SweepEngine};
@@ -23,7 +21,7 @@ use crate::{
 
 /// One point of a sweep: the swept parameter value and the resulting
 /// evaluation report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Value of the swept parameter (days of training data, or
     /// prediction horizon in samples, depending on the sweep).

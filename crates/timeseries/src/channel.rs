@@ -1,7 +1,5 @@
 //! Named, gap-aware sample channels on the shared time grid.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, TimeSeriesError};
 
 /// One named telemetry series with explicit missing samples.
@@ -23,7 +21,7 @@ use crate::{Result, TimeSeriesError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     name: String,
     values: Vec<Option<f64>>,

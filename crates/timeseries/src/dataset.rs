@@ -5,8 +5,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use thermal_linalg::Matrix;
 
 use crate::{Channel, Mask, Result, Segment, TimeGrid, TimeSeriesError};
@@ -37,11 +35,10 @@ use crate::{Channel, Mask, Result, Segment, TimeGrid, TimeSeriesError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     grid: TimeGrid,
     channels: Vec<Channel>,
-    #[serde(skip)]
     index: BTreeMap<String, usize>,
 }
 

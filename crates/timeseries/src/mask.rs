@@ -1,7 +1,5 @@
 //! Boolean slot masks for selecting subsets of a time grid.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, TimeGrid, TimeSeriesError, MINUTES_PER_DAY};
 
 /// A boolean selection over the slots of a [`TimeGrid`].
@@ -26,7 +24,7 @@ use crate::{Result, TimeGrid, TimeSeriesError, MINUTES_PER_DAY};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mask {
     bits: Vec<bool>,
 }

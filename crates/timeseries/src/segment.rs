@@ -3,8 +3,6 @@
 //! Identification consumes runs where every input channel has data;
 //! this module finds those runs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Mask;
 
 /// A maximal contiguous run of usable samples, `[start, end)` in grid
@@ -15,7 +13,7 @@ use crate::Mask;
 /// channel is present at every slot, so one-step regressor pairs
 /// `(x(k), x(k+1))` can be formed at indices
 /// `start .. end - 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Segment {
     /// First grid index of the run (inclusive).
     pub start: usize,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, TimeSeriesError};
 
 /// Minutes in one day.
@@ -29,9 +27,7 @@ pub const MINUTES_PER_HOUR: i64 = 60;
 /// assert_eq!(t.minute_of_day(), 360);
 /// assert_eq!(t.as_minutes(), 2 * MINUTES_PER_DAY + 360);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(i64);
 
 impl Timestamp {
@@ -103,7 +99,7 @@ impl fmt::Display for Timestamp {
 /// Implements just enough proleptic-Gregorian arithmetic to add days;
 /// there is no time-zone or leap-second handling, which telemetry at
 /// this resolution does not need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Date {
     /// Four-digit year.
     pub year: i32,
@@ -209,7 +205,7 @@ impl fmt::Display for Date {
 /// All channels of a [`crate::Dataset`] share one grid, so sample `i`
 /// of every channel refers to the same instant
 /// `start + i * step_minutes`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimeGrid {
     start: Timestamp,
     step_minutes: u32,

@@ -21,12 +21,10 @@
 //! [`ValidationReport`], so fault-injection tests can assert the
 //! layer caught exactly the corrupted samples.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Channel, Dataset, Result, TimeSeriesError};
 
 /// What to do with gaps after quarantine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum GapPolicy {
     /// Leave every gap as `None` (the identification segments route
@@ -47,7 +45,7 @@ pub enum GapPolicy {
 }
 
 /// Configuration of the validation layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationConfig {
     /// Smallest plausible reading (°C for temperature telemetry).
     pub min_value: f64,
@@ -112,7 +110,7 @@ impl ValidationConfig {
 }
 
 /// Per-channel accounting of what validation changed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelQuality {
     /// Channel name.
     pub name: String,
@@ -138,7 +136,7 @@ impl ChannelQuality {
 }
 
 /// What validation did to a whole dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationReport {
     channels: Vec<ChannelQuality>,
 }

@@ -29,6 +29,8 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use crate::harness::{build_release_bin, reset_dir};
+
 /// Exit code the workload dies with at a kill point (pinned in
 /// `thermal-faults`; redeclared here so the driver does not link the
 /// whole workspace).
@@ -59,11 +61,7 @@ const WORKLOAD_SEED: &str = "7";
 /// run with the wrong exit code, a resumed store that differs from
 /// the clean one, or unrecovered corruption.
 pub fn run(root: &Path, smoke: bool) -> Result<(), String> {
-    build_workload(root)?;
-    let bin = root
-        .join("target")
-        .join("release")
-        .join(format!("chaos_grid{}", std::env::consts::EXE_SUFFIX));
+    let bin = build_release_bin(root, "thermal-bench", "chaos_grid")?;
     let base = root.join("target").join("chaos");
 
     // 1. Census: one clean run fixes the reference tree and the
@@ -119,29 +117,6 @@ pub fn run(root: &Path, smoke: bool) -> Result<(), String> {
         Ok(manifest)
     })?;
     eprintln!("xtask chaos: all corruption cases detected, quarantined, and recomputed");
-    Ok(())
-}
-
-/// Builds the workload binary once, in release mode (the sweep runs
-/// it dozens of times).
-fn build_workload(root: &Path) -> Result<(), String> {
-    eprintln!("xtask chaos: building chaos_grid (release)");
-    let status = Command::new(env!("CARGO"))
-        .args([
-            "build",
-            "--release",
-            "--offline",
-            "-p",
-            "thermal-bench",
-            "--bin",
-            "chaos_grid",
-        ])
-        .current_dir(root)
-        .status()
-        .map_err(|e| format!("could not start cargo build: {e}"))?;
-    if !status.success() {
-        return Err(format!("chaos_grid build failed with {status}"));
-    }
     Ok(())
 }
 
@@ -431,12 +406,7 @@ struct MatrixRow {
 /// Returns a description of the first violated invariant.
 pub fn run_snapshots(root: &Path, workload: SnapshotWorkload, smoke: bool) -> Result<(), String> {
     let label = workload.label();
-    build_snapshot_workload(root, workload)?;
-    let bin = root.join("target").join("release").join(format!(
-        "{}{}",
-        workload.bin(),
-        std::env::consts::EXE_SUFFIX
-    ));
+    let bin = build_release_bin(root, workload.package(), workload.bin())?;
     let base = root.join("target").join(format!("chaos-{label}"));
     reset_dir(&base)?;
     let mut matrix: Vec<MatrixRow> = Vec::new();
@@ -582,32 +552,6 @@ pub fn run_snapshots(root: &Path, workload: SnapshotWorkload, smoke: bool) -> Re
     Ok(())
 }
 
-/// Builds the snapshotting workload binary once, in release mode.
-fn build_snapshot_workload(root: &Path, workload: SnapshotWorkload) -> Result<(), String> {
-    eprintln!(
-        "xtask chaos --{}: building {} (release)",
-        workload.label(),
-        workload.bin()
-    );
-    let status = Command::new(env!("CARGO"))
-        .args([
-            "build",
-            "--release",
-            "--offline",
-            "-p",
-            workload.package(),
-            "--bin",
-            workload.bin(),
-        ])
-        .current_dir(root)
-        .status()
-        .map_err(|e| format!("could not start cargo build: {e}"))?;
-    if !status.success() {
-        return Err(format!("{} build failed with {status}", workload.bin()));
-    }
-    Ok(())
-}
-
 /// Runs the snapshotting workload rooted at `dir`, optionally with a
 /// kill point and a pinned thread count, checking the exit code.
 fn run_snapshot_run(
@@ -742,14 +686,6 @@ fn collect_quarantine_logs(workload: SnapshotWorkload, dir: &Path) -> Result<Str
         }
     }
     Ok(out)
-}
-
-/// Deletes and recreates a directory.
-fn reset_dir(dir: &Path) -> Result<(), String> {
-    if dir.exists() {
-        fs::remove_dir_all(dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
-    }
-    fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! Dependency-free minimal JSON for the lint gate.
 //!
-//! The container is offline and the vendored dependency set has no
-//! `serde_json`, so the baseline reader and the diagnostics writer
-//! are hand-rolled. The subset is exactly what the lint schemas need:
-//! objects, arrays, strings with the standard escapes, non-negative
-//! integers, booleans and `null`. Parse errors carry 1-based line
-//! numbers so a hand-edited `xtask/lint-baseline.json` fails with a
-//! pointable message.
+//! The workspace builds offline with no JSON dependency, so the
+//! baseline reader and the diagnostics writer are hand-rolled. The
+//! subset is exactly what the lint schemas need: objects, arrays,
+//! strings with the standard escapes, non-negative integers, booleans
+//! and `null`. Parse errors carry 1-based line numbers so a
+//! hand-edited `xtask/lint-baseline.json` fails with a pointable
+//! message.
 //!
 //! The writer side is canonical by construction — callers emit keys
 //! in a fixed order and the escaper is deterministic — which is what

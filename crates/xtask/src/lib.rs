@@ -7,9 +7,9 @@
 
 pub mod allowlist;
 pub mod baseline;
-pub mod bench;
 pub mod chaos;
 pub mod checks;
+pub mod harness;
 pub mod json;
 pub mod lexer;
 pub mod model;

