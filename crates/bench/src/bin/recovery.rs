@@ -19,7 +19,7 @@
 //!
 //! The final state is written as canonical byte-stable JSON
 //! ([`thermal_stream::RecoveryReport`]) via the atomic-write path, so
-//! the `cargo xtask soak --recovery` driver can require bitwise
+//! the `cargo xtask soak recovery` harness can require bitwise
 //! identical reports across repeated runs and `THERMAL_THREADS`
 //! settings.
 //!

@@ -13,7 +13,7 @@
 //! The final state (health machines, runtime counters, per-cluster
 //! predictions) is written as canonical byte-stable JSON
 //! ([`thermal_stream::SoakReport`]) via the atomic-write path, so the
-//! `cargo xtask soak` driver can require bitwise-identical reports
+//! `cargo xtask soak stream` harness can require bitwise-identical reports
 //! across repeated runs and `THERMAL_THREADS` settings.
 //!
 //! ```sh
@@ -32,7 +32,7 @@
 //! snapshotted whole, and a re-launch after a mid-run kill restores
 //! the newest good snapshot and continues — producing a report
 //! byte-identical to an uninterrupted run (the restore-equivalence
-//! contract `cargo xtask chaos --stream` enforces at every kill
+//! contract `cargo xtask chaos stream` enforces at every kill
 //! point).
 
 use std::path::{Path, PathBuf};

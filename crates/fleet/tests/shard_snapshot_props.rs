@@ -4,7 +4,7 @@
 //! built shard, and re-capturing must be byte-identical — and the
 //! restored shard must serve the remaining slots exactly as the
 //! uninterrupted one. This is the per-building unit of the
-//! `cargo xtask chaos --fleet` restore-equivalence contract.
+//! `cargo xtask chaos fleet` restore-equivalence contract.
 
 // Test fixtures: panicking on a broken fixture is the right failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]

@@ -35,9 +35,9 @@
 //!   coefficients under confirmed drift
 //!   ([`StreamService::enable_online`]),
 //! * [`SoakReport`] — canonical byte-stable JSON for the
-//!   `cargo xtask soak` determinism harness,
+//!   `cargo xtask soak stream` determinism harness,
 //! * [`RecoveryReport`] — the same canonical-JSON contract for the
-//!   drift-recovery scenario (`cargo xtask soak --recovery`), which
+//!   drift-recovery scenario (`cargo xtask soak recovery`), which
 //!   asserts the online loop heals a mid-trace regime shift within a
 //!   bounded number of slots.
 //!

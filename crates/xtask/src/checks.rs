@@ -89,7 +89,7 @@ pub const CONFIG_MODULES: &[&str] = &["crates/par/src/lib.rs", "crates/faults/sr
 /// wall-clock reads are findings **even inside a designated clock
 /// module**: a wall timestamp folded into a snapshot record would
 /// break the restore-equivalence byte comparisons of
-/// `cargo xtask chaos --stream|--fleet` (see DESIGN.md
+/// `cargo xtask chaos stream|fleet` (see DESIGN.md
 /// § restore-equivalence). Snapshot timestamping must come from the
 /// simulated clock ([`SimClock`] state travels inside the snapshot).
 pub const SNAPSHOT_MODULES: &[&str] = &[

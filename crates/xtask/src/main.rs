@@ -11,32 +11,28 @@
 //! - `cargo xtask ci` — fmt-check → clippy → lint → build → test →
 //!   fault-matrix smoke → allocation-budget gate → determinism smoke
 //!   → chaos smoke → soak smoke → perfbench self-test.
-//! - `cargo xtask chaos [--stream|--fleet] [--smoke]` — kill-point
-//!   crash/resume harness: crash the checkpointed workload at every
-//!   durable write and require byte-identical recovery (see DESIGN.md
-//!   § crash recovery). `--stream` and `--fleet` drive the
-//!   snapshotting soak workloads instead and require the resumed final
-//!   reports byte-identical to an uninterrupted baseline — including
-//!   across `THERMAL_THREADS` settings and with torn or bit-flipped
-//!   snapshots on disk (see DESIGN.md § restore-equivalence).
-//! - `cargo xtask soak [--smoke] [--list] [--only <scenario>]` —
-//!   chaos-soak harness with a scenario registry. `stream` (default)
-//!   replays a full trace through corrupted, flaky, out-of-order
-//!   ingest and requires a bitwise-deterministic soak report across
-//!   repeated runs and thread counts (see DESIGN.md § streaming
-//!   runtime). `recovery` (shorthand `--recovery`) runs the
-//!   drift-recovery scenario: a mid-trace regime shift must be
-//!   detected, refitted, and healed within a bounded number of slots
-//!   (see DESIGN.md § online identification). `fleet` (shorthand
-//!   `--fleet`) runs the multi-building blast-radius soak: faults
-//!   injected into a chosen subset of a minted fleet must quarantine
-//!   exactly that subset, byte-for-byte (see DESIGN.md § fleet
-//!   serving).
+//! - `cargo xtask chaos [--smoke] [grid|stream|fleet]` — kill-point
+//!   crash/resume harness (default `grid`): crash the workload at
+//!   every durable write, resume it, and require byte-identical
+//!   results, also across repeated runs, `THERMAL_THREADS` settings
+//!   and with corrupt or torn checkpoints on disk (see DESIGN.md
+//!   § crash recovery and § restore-equivalence). `--smoke` sweeps the
+//!   boundary kill points only.
+//! - `cargo xtask soak [--smoke] [stream|recovery|fleet]` — soak
+//!   harness (default `stream`): a corrupted, flaky replay
+//!   (`stream`), a mid-trace regime shift the online loop must heal
+//!   (`recovery`), or a minted fleet whose fault-targeted buildings
+//!   must be exactly the quarantined ones (`fleet`), each with
+//!   byte-identical reports across repeated runs and thread counts.
+//!   `--smoke` runs the short sweep. Both commands run rows of the
+//!   one table in `xtask::harness`.
 //! - `cargo xtask miri` — Miri over the `linalg`/`timeseries` unit
 //!   tests (skips with a notice when Miri is not installed).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
+
+use xtask::harness::{Row, TABLE};
 
 fn workspace_root() -> PathBuf {
     // crates/xtask/ -> crates/ -> workspace root.
@@ -54,8 +50,7 @@ fn main() -> ExitCode {
         "lint" => lint(&args[1..]),
         "fmt" => run_steps(&[step("fmt", &["fmt", "--all"])]),
         "ci" => ci(),
-        "chaos" => chaos(&args[1..]),
-        "soak" => soak(&args[1..]),
+        "chaos" | "soak" => harness(command, &args[1..]),
         "miri" => miri(),
         "help" | "--help" | "-h" => {
             print_help();
@@ -81,15 +76,11 @@ fn print_help() {
          \x20 fmt                  format the workspace (cargo fmt --all)\n\
          \x20 ci                   fmt-check, clippy, lint, build, test, fault-matrix,\n\
          \x20                      determinism/chaos/soak smokes, perfbench self-test\n\
-         \x20 chaos [--smoke]      kill-point crash/resume harness (--smoke: boundary\n\
-         \x20       [--stream]     kill points only; default: every durable write);\n\
-         \x20       [--fleet]      --stream/--fleet: snapshotting soak workloads with\n\
-         \x20                      report restore-equivalence + torn-snapshot recovery\n\
-         \x20 soak [--smoke]       chaos-soak harness: corrupted/flaky stream replay with\n\
-         \x20      [--only S]      a bitwise-deterministic report (--smoke: short sweep);\n\
-         \x20      [--list]        --only picks a scenario (stream|recovery|fleet),\n\
-         \x20      [--recovery]    --list prints the registry, --recovery/--fleet are\n\
-         \x20      [--fleet]       shorthands (fleet: multi-building blast-radius soak)\n\
+         \x20 chaos [--smoke] [grid|stream|fleet]\n\
+         \x20                      kill-point crash/resume harness (default grid;\n\
+         \x20                      --smoke: boundary kill points only)\n\
+         \x20 soak [--smoke] [stream|recovery|fleet]\n\
+         \x20                      soak harness (default stream; --smoke: short sweep)\n\
          \x20 miri                 Miri over linalg/timeseries unit tests\n\
          \x20 help                 show this message"
     );
@@ -195,26 +186,12 @@ fn lint(args: &[String]) -> ExitCode {
 struct Step {
     name: &'static str,
     args: Vec<String>,
-    envs: Vec<(String, String)>,
 }
 
 fn step(name: &'static str, args: &[&str]) -> Step {
     Step {
         name,
         args: args.iter().map(|&s| s.to_owned()).collect(),
-        envs: Vec::new(),
-    }
-}
-
-/// A [`step`] with extra environment variables, e.g. the
-/// `THERMAL_THREADS` pins of the determinism smoke.
-fn step_env(name: &'static str, args: &[&str], envs: &[(&str, &str)]) -> Step {
-    Step {
-        envs: envs
-            .iter()
-            .map(|&(k, v)| (k.to_owned(), v.to_owned()))
-            .collect(),
-        ..step(name, args)
     }
 }
 
@@ -223,11 +200,9 @@ fn step_env(name: &'static str, args: &[&str], envs: &[(&str, &str)]) -> Step {
 fn run_steps(steps: &[Step]) -> ExitCode {
     let root = workspace_root();
     for s in steps {
-        let env_prefix: String = s.envs.iter().map(|(k, v)| format!("{k}={v} ")).collect();
-        eprintln!("xtask: {env_prefix}cargo {}", s.args.join(" "));
+        eprintln!("xtask: cargo {}", s.args.join(" "));
         let status = Command::new(env!("CARGO"))
             .args(&s.args)
-            .envs(s.envs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
             .current_dir(&root)
             .status();
         match status {
@@ -295,93 +270,39 @@ fn ci() -> ExitCode {
                 "fault_matrix",
             ],
         ),
+        // Allocation-budget gate: the counting-allocator binary proves a
+        // warmed-up steady-state event performs zero heap allocations
+        // (see DESIGN.md § allocation budget). The full test step above
+        // already ran it; this dedicated step keeps the budget visible —
+        // and individually bisectable — in the CI log.
+        step(
+            "alloc-free",
+            &[
+                "test",
+                "-q",
+                "--offline",
+                "--release",
+                "-p",
+                "thermal-stream",
+                "--test",
+                "alloc_free",
+            ],
+        ),
     ]);
     if code != ExitCode::SUCCESS {
         return code;
     }
-    // Allocation-budget gate: the counting-allocator binary proves a
-    // warmed-up steady-state event performs zero heap allocations
-    // (see DESIGN.md § allocation budget). The full test step above
-    // already ran it; this dedicated step keeps the budget visible —
-    // and individually bisectable — in the CI log.
-    let code = run_steps(&[step(
-        "alloc-free",
-        &[
-            "test",
-            "-q",
-            "--offline",
-            "--release",
-            "-p",
-            "thermal-stream",
-            "--test",
-            "alloc_free",
-        ],
-    )]);
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    let code = determinism_smoke();
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    // Crash-safety smoke: kill the checkpointed workload at the
-    // boundary durable writes and require byte-identical resume (the
-    // dedicated CI job sweeps every kill point).
-    eprintln!("xtask: chaos smoke");
-    let code = chaos(&["--smoke".to_owned()]);
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    // Live-serving crash-safety smokes: kill the snapshotting stream
-    // and fleet soaks at the boundary durable writes and require the
-    // resumed final reports byte-identical to an uninterrupted run
-    // (the dedicated CI jobs sweep every kill point).
-    eprintln!("xtask: chaos stream smoke");
-    let code = chaos(&["--stream".to_owned(), "--smoke".to_owned()]);
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    eprintln!("xtask: chaos fleet smoke");
-    let code = chaos(&["--fleet".to_owned(), "--smoke".to_owned()]);
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    // Streaming-robustness smoke: a short corrupted/flaky replay must
-    // finish panic-free with a bitwise-deterministic soak report (the
-    // dedicated CI job runs the full sweep).
-    eprintln!("xtask: soak smoke");
-    let code = soak(&[
-        "--smoke".to_owned(),
-        "--only".to_owned(),
-        "stream".to_owned(),
-    ]);
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    // Self-healing smoke: a mid-trace regime shift must be detected,
-    // refitted, and healed deterministically (the dedicated CI job
-    // runs the full two-day scenario).
-    eprintln!("xtask: drift-recovery smoke");
-    let code = soak(&[
-        "--smoke".to_owned(),
-        "--only".to_owned(),
-        "recovery".to_owned(),
-    ]);
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    // Fleet blast-radius smoke: a small fleet with two fault-targeted
-    // buildings must quarantine exactly those two and leave every
-    // other building's report byte-identical to a fault-free baseline
-    // (the dedicated CI job runs the full fleet sweep).
-    eprintln!("xtask: fleet-soak smoke");
-    let code = soak(&[
-        "--smoke".to_owned(),
-        "--only".to_owned(),
-        "fleet".to_owned(),
-    ]);
-    if code != ExitCode::SUCCESS {
-        return code;
+    // Harness smokes, one per row of the harness table: determinism
+    // (repro CSVs under THERMAL_THREADS=1 vs 4), the three chaos
+    // kill sweeps at their boundary kill points, and the short soak,
+    // recovery and fleet sweeps (the dedicated CI jobs run them at
+    // full size).
+    for row in TABLE {
+        eprintln!("xtask: {} {} smoke", row.command, row.name);
+        let code = run_row(row, true);
+        if code != ExitCode::SUCCESS {
+            return code;
+        }
     }
     // Benchmark self-test: perfbench is a workspace of its own, so the
     // workspace build above never compiles it. Its tests catch an API
@@ -398,180 +319,32 @@ fn ci() -> ExitCode {
     )])
 }
 
-/// Runs the repro pipeline twice — `THERMAL_THREADS=1` and `=4` — and
-/// byte-compares the result CSVs, enforcing the `thermal-par`
-/// determinism contract end-to-end (see DESIGN.md § performance).
-fn determinism_smoke() -> ExitCode {
-    let root = workspace_root();
-    let out_base = root.join("target").join("determinism");
-    let runs = [("1", out_base.join("t1")), ("4", out_base.join("t4"))];
-    for (threads, dir) in &runs {
-        let code = run_steps(&[step_env(
-            "determinism-repro",
-            &[
-                "run",
-                "--release",
-                "--offline",
-                "-p",
-                "thermal-bench",
-                "--bin",
-                "repro",
-                "--",
-                "--quick",
-                "--out",
-                &dir.to_string_lossy(),
-                "fig3",
-                "fault_matrix",
-            ],
-            &[("THERMAL_THREADS", threads)],
-        )]);
-        if code != ExitCode::SUCCESS {
-            return code;
-        }
-    }
-    for csv in ["fig3.csv", "fault_matrix.csv"] {
-        let (a, b) = (runs[0].1.join(csv), runs[1].1.join(csv));
-        match (std::fs::read(&a), std::fs::read(&b)) {
-            (Ok(lhs), Ok(rhs)) if lhs == rhs => {
-                eprintln!("xtask: determinism smoke: {csv} identical across thread counts");
-            }
-            (Ok(_), Ok(_)) => {
-                eprintln!(
-                    "xtask: determinism smoke FAILED: {csv} differs between \
-                     THERMAL_THREADS=1 and THERMAL_THREADS=4"
-                );
-                return ExitCode::FAILURE;
-            }
-            (a_res, b_res) => {
-                eprintln!(
-                    "xtask: determinism smoke could not read {csv}: {:?} / {:?}",
-                    a_res.err(),
-                    b_res.err()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+/// `cargo xtask chaos|soak [--smoke] [<row>]`: runs one row of the
+/// harness table; the default is the command's first row.
+fn harness(command: &str, args: &[String]) -> ExitCode {
+    let rows = || TABLE.iter().filter(|r| r.command == command);
+    let names: Vec<&String> = args.iter().filter(|a| *a != "--smoke").collect();
+    let row = match names.as_slice() {
+        [] => rows().next(),
+        [name] => rows().find(|r| r.name == name.as_str()),
+        _ => None,
+    };
+    let Some(row) = row else {
+        let known: Vec<&str> = rows().map(|r| r.name).collect();
+        eprintln!("xtask {command}: expected [--smoke] [{}]", known.join("|"));
+        return ExitCode::FAILURE;
+    };
+    run_row(row, args.iter().any(|a| a == "--smoke"))
 }
 
-/// Runs the kill-point chaos harness (see `xtask::chaos`). With no
-/// workload flag it drives the checkpointed fit grid; `--stream` and
-/// `--fleet` drive the snapshotting soak workloads and additionally
-/// prove restore-equivalence of the final report bytes.
-fn chaos(args: &[String]) -> ExitCode {
-    let mut smoke = false;
-    let mut workload: Option<xtask::chaos::SnapshotWorkload> = None;
-    for arg in args {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--stream" if workload.is_none() => {
-                workload = Some(xtask::chaos::SnapshotWorkload::Stream);
-            }
-            "--fleet" if workload.is_none() => {
-                workload = Some(xtask::chaos::SnapshotWorkload::Fleet);
-            }
-            _ => {
-                eprintln!("xtask chaos: expected [--stream|--fleet] [--smoke]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let root = workspace_root();
-    let outcome = match workload {
-        None => xtask::chaos::run(&root, smoke),
-        Some(w) => xtask::chaos::run_snapshots(&root, w, smoke),
-    };
-    match outcome {
+fn run_row(row: &Row, smoke: bool) -> ExitCode {
+    match xtask::harness::run_row(&workspace_root(), row, smoke) {
         Ok(()) => {
-            eprintln!("xtask chaos: clean");
+            eprintln!("xtask {} {}: clean", row.command, row.name);
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("xtask chaos: FAILED: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Runs one soak harness scenario, chosen from the registry in
-/// `xtask::soak::SCENARIOS` via `--only <scenario>` (default
-/// `stream`; `--recovery` and `--fleet` are shorthands). `--list`
-/// prints the registry and exits.
-fn soak(args: &[String]) -> ExitCode {
-    let mut smoke = false;
-    let mut only: Option<String> = None;
-    let mut iter = args.iter();
-    let pick = |scenario: &str, only: &mut Option<String>| -> bool {
-        if let Some(prev) = only.as_deref() {
-            if prev != scenario {
-                eprintln!(
-                    "xtask soak: scenario already set to `{prev}`, cannot also run `{scenario}`"
-                );
-                return false;
-            }
-        }
-        *only = Some(scenario.to_owned());
-        true
-    };
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--list" => {
-                for &(name, description) in xtask::soak::SCENARIOS {
-                    println!("{name:<10} {description}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--recovery" => {
-                if !pick("recovery", &mut only) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--fleet" => {
-                if !pick("fleet", &mut only) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--only" => {
-                let Some(name) = iter.next() else {
-                    eprintln!("xtask soak: `--only` needs a scenario name (see --list)");
-                    return ExitCode::FAILURE;
-                };
-                if !pick(name, &mut only) {
-                    return ExitCode::FAILURE;
-                }
-            }
-            _ => {
-                eprintln!(
-                    "xtask soak: expected `--smoke`, `--list`, `--only <scenario>`, \
-                     `--recovery`, or `--fleet`"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let scenario = only.as_deref().unwrap_or("stream");
-    let result = match scenario {
-        "stream" => xtask::soak::run(&workspace_root(), smoke),
-        "recovery" => xtask::soak::run_recovery(&workspace_root(), smoke),
-        "fleet" => xtask::soak::run_fleet(&workspace_root(), smoke),
-        other => {
-            let known: Vec<&str> = xtask::soak::SCENARIOS.iter().map(|&(n, _)| n).collect();
-            eprintln!(
-                "xtask soak: unknown scenario `{other}` (known: {})",
-                known.join(", ")
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    match result {
-        Ok(()) => {
-            eprintln!("xtask soak: clean ({scenario})");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask soak: FAILED: {e}");
+            eprintln!("xtask {} {}: FAILED: {e}", row.command, row.name);
             ExitCode::FAILURE
         }
     }
